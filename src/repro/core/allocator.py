@@ -16,6 +16,7 @@ from __future__ import annotations
 import inspect
 import threading
 from collections.abc import Hashable, Iterable
+from itertools import repeat
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -27,7 +28,7 @@ from .normalization import FNormalizer, Normalizer
 from .utility import Utility
 
 __all__ = ["RateUpdate", "AllocationResult", "FlowtuneAllocator",
-           "ChurnQueue", "threshold_update_indices",
+           "ChurnQueue", "render_updates", "threshold_update_indices",
            "threshold_update_mask"]
 
 
@@ -39,6 +40,15 @@ class RateUpdate(NamedTuple):
 
 
 _NO_UPDATES = np.zeros(0, dtype=np.intp)
+
+
+def render_updates(ids: npt.NDArray[Any],
+                   rates: npt.NDArray[np.float64]) -> list[RateUpdate]:
+    """Gathered ``ids``/``rates`` as a fresh :class:`RateUpdate` list,
+    built in C loops (``tuple.__new__`` skips NamedTuple's Python-level
+    ``__new__``); every scheduler result renders ``updates`` here."""
+    return list(map(tuple.__new__, repeat(RateUpdate),
+                    zip(ids.tolist(), rates.tolist())))
 
 
 def threshold_update_mask(rate_vec: npt.NDArray[np.float64],
@@ -89,11 +99,10 @@ class AllocationResult:
     flow table's positional order; ``update_indices`` are the positions
     whose endpoints must be notified (rate moved by more than the
     threshold, or flow is new).  ``updates`` renders those positions as
-    :class:`RateUpdate` objects, ``rates`` a full id->rate dict, and
-    ``flow_ids`` a plain id list — all materialized lazily on first
-    access, so hot-path consumers that stick to the vector forms pay
-    nothing for them (at 10k flows the RateUpdate list alone dominates
-    ``iterate``'s cost, and at 100k even the id-list copy shows).
+    :class:`RateUpdate` objects via :func:`render_updates` (O(changed)),
+    ``rates`` a full id->rate dict and ``flow_ids`` a plain id list
+    (both O(n)) — each materialized on first access, so consumers pay
+    only for the views they read.
 
     The allocator constructs results over the flow table's *live*
     positionally-aligned id column, so the lazy views are snapshots of
@@ -105,11 +114,11 @@ class AllocationResult:
     __slots__ = ("_ids", "rate_vector", "update_indices",
                  "_updates", "_rates_dict", "_flow_ids")
 
-    def __init__(self, flow_ids: npt.NDArray[Any] | list[Any],
+    def __init__(self, flow_ids: npt.NDArray[Any],
                  rate_vector: npt.NDArray[np.float64],
                  update_indices: npt.NDArray[np.intp] = _NO_UPDATES,
                  ) -> None:
-        self._ids = flow_ids  # list or positionally-aligned id array
+        self._ids = flow_ids  # positionally-aligned object id array
         self.rate_vector = rate_vector  # numpy array aligned with ids
         self.update_indices = update_indices
         self._updates = None
@@ -119,26 +128,22 @@ class AllocationResult:
     @property
     def flow_ids(self) -> list[Any]:
         if self._flow_ids is None:
-            ids = self._ids
-            self._flow_ids = (ids.tolist() if isinstance(ids, np.ndarray)
-                              else list(ids))
+            self._flow_ids = self._ids.tolist()
         return self._flow_ids
 
     @property
     def updates(self) -> list[RateUpdate]:
         if self._updates is None:
-            ids = self._ids
-            sent = np.asarray(self.rate_vector, dtype=np.float64)[
-                self.update_indices].tolist()
-            self._updates = [RateUpdate(ids[i], rate) for i, rate in
-                             zip(self.update_indices.tolist(), sent)]
+            idx = self.update_indices
+            rates = np.asarray(self.rate_vector, dtype=np.float64)
+            self._updates = render_updates(self._ids[idx], rates[idx])
         return self._updates
 
     @property
     def rates(self) -> dict[Any, float]:
         if self._rates_dict is None:
             self._rates_dict = dict(zip(
-                self._ids,
+                self._ids.tolist(),
                 np.asarray(self.rate_vector, dtype=np.float64).tolist()))
         return self._rates_dict
 
@@ -315,15 +320,14 @@ class FlowtuneAllocator:
         """Latest *notified* rate per flow (what endpoints believe)."""
         last = self._last_sent.data
         notified = ~np.isnan(last)
-        ids = self.table.flow_id_array()
-        return {ids[i]: rate for i, rate in
-                zip(np.nonzero(notified)[0].tolist(),
-                    last[notified].tolist())}
+        return dict(zip(self.table.flow_id_array()[notified].tolist(),
+                        last[notified].tolist()))
 
     def raw_rates(self) -> dict[Any, float]:
         """Un-normalized optimizer rates for the active flows."""
         raw = self.optimizer.rate_update()
-        return dict(zip(self.table.flow_ids(), (float(r) for r in raw)))
+        return dict(zip(self.table.flow_ids(),
+                        np.asarray(raw, dtype=np.float64).tolist()))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"FlowtuneAllocator(n_flows={self.table.n_flows}, "

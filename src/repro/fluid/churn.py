@@ -204,9 +204,9 @@ class FluidSimulator:
     def _account_updates(self, result, metrics, measuring):
         if result.updates:
             per_destination: dict[int, list] = {}
-            for update in result.updates:
-                self._notified_rates[update.flow_id] = update.rate
-                record = self._active.get(update.flow_id)
+            for flow_id, rate in result.updates:
+                self._notified_rates[flow_id] = rate
+                record = self._active.get(flow_id)
                 if record is None:
                     continue
                 per_destination.setdefault(record.src, []).append(

@@ -55,7 +55,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..core.allocator import (AllocationResult, RateUpdate, _NO_UPDATES,
-                              threshold_update_mask)
+                              render_updates, threshold_update_mask)
 from ..core.kernels import active as _active_kernels
 from ..core.network import LinkSet
 
@@ -118,12 +118,9 @@ class _LazySlotResult(AllocationResult):
     @property
     def updates(self) -> list[RateUpdate]:
         if self._updates is None:
-            store = self._store
             slots = self._slots()
-            self._updates = [
-                RateUpdate(flow_id, rate) for flow_id, rate in
-                zip(store._ids[slots].tolist(),
-                    store._last[slots].tolist())]
+            self._updates = render_updates(self._store._ids[slots],
+                                           self._store._last[slots])
         return self._updates
 
 

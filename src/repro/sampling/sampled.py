@@ -93,8 +93,7 @@ class _MergedResult(AllocationResult):
             priced, mice = self._priced, self._mice
             priced_rates = np.asarray(priced.rate_vector, dtype=np.float64)
             n_priced = len(priced_rates)
-            self._ids = np.concatenate(
-                (np.asarray(priced._ids, dtype=object), mice._ids))
+            self._ids = np.concatenate((priced._ids, mice._ids))
             self.rate_vector = np.concatenate(
                 (priced_rates,
                  np.asarray(mice.rate_vector, dtype=np.float64)))

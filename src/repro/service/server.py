@@ -886,9 +886,9 @@ class FlowtuneService:
         number.  ``skip`` clients get a SNAPSHOT this cycle instead."""
         per_client = {}
         for (client_id, fid), rate in result.updates:
-            per_client.setdefault(client_id, ([], []))
-            per_client[client_id][0].append(fid)
-            per_client[client_id][1].append(rate)
+            fids, rates = per_client.setdefault(client_id, ([], []))
+            fids.append(fid)
+            rates.append(rate)
         if not per_client:
             return
         by_id = {c.session.client_id: c for c in self._clients.values()

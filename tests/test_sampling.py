@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FlowtuneAllocator, LinkSet
+from repro.core import FlowtuneAllocator, LinkSet, RateUpdate
 from repro.sampling import (SCHEDULER_MODES, EcmpAssigner, EcmpScheduler,
                             ElephantDetector, SampledAllocator,
                             make_scheduler, replay_priced_journal)
@@ -192,6 +192,72 @@ class TestSchedulerProtocol:
         with pytest.raises(ValueError, match="does not apply"):
             make_scheduler(make_links(), mode="ecmp",
                            optimizer_cls=NedOptimizer)
+
+
+class TestUpdateRendering:
+    """Every scheduler's ``updates``, ``rates`` and ``current_rates``
+    equal their per-element renderings exactly, for every id kind."""
+
+    ID_KINDS = {"int": lambda i: i, "str": lambda i: f"flow-{i}",
+                # what the service schedules: (client_id, fid)
+                "tuple": lambda i: (i % 3, i)}
+
+    @staticmethod
+    def check_result(result):
+        updates = result.updates
+        ids, rates = result.flow_ids, result.rate_vector
+        assert type(updates) is list
+        assert updates == [RateUpdate(ids[i], rates[i])
+                           for i in result.update_indices]
+        assert all(type(u) is RateUpdate and type(u.rate) is float
+                   for u in updates)
+        # distinct objects: no entry aliases another (or zip's tuple)
+        assert len({id(u) for u in updates}) == len(updates)
+        assert result.rates == {ids[i]: float(rates[i])
+                                for i in range(len(ids))}
+        return updates
+
+    @pytest.mark.parametrize("kind", sorted(ID_KINDS))
+    @pytest.mark.parametrize("mode", SCHEDULER_MODES)
+    def test_views_match_per_element_reference(self, mode, kind):
+        make_id = self.ID_KINDS[kind]
+        alloc = make_scheduler(make_links(), mode=mode)
+        empty = alloc.iterate(1)
+        assert self.check_result(empty) == [] and empty.rates == {}
+        rng = np.random.default_rng(11)
+        active, believed = [], {}
+        refreshed_mice = False
+        for step in range(16):
+            ends = [active.pop(int(rng.integers(len(active))))
+                    for _ in range(min(len(active), 2))]
+            starts = [(make_id(4 * step + k),
+                       rng.choice(N_LINKS, size=int(rng.integers(1, 4)),
+                                  replace=False))
+                      for k in range(4)]
+            active.extend(flow_id for flow_id, _ in starts)
+            alloc.apply_churn(starts=starts, ends=ends)
+            for flow_id in ends:
+                believed.pop(flow_id)
+            # every third flow reports enough bytes to be promoted
+            for flow_id, _ in starts[::3]:
+                alloc.report_usage(flow_id, float(8 << 20))
+            if mode == "sampled" and alloc.mice.n_flows:
+                refreshed_mice |= alloc.mice.will_refresh()
+            for flow_id, rate in self.check_result(alloc.iterate(1)):
+                believed[flow_id] = rate
+            # endpoints believe exactly what they were last told
+            assert alloc.current_rates() == believed
+        if mode == "sampled":
+            assert refreshed_mice and alloc.priced.n_flows > 0
+        if mode == "flowtune":
+            raw = alloc.optimizer.rate_update()
+            ids = alloc.table.flow_ids()
+            assert alloc.raw_rates() == {ids[i]: float(raw[i])
+                                         for i in range(len(ids))}
+        alloc.apply_churn(ends=active)
+        drained = alloc.iterate(1)
+        assert self.check_result(drained) == [] and drained.rates == {}
+        assert alloc.current_rates() == {}
 
 
 class TestEcmpAssigner:

@@ -199,10 +199,13 @@ class TestBackpressure:
             with FlowtuneClient(svc.address, svc.token_hex) as survivor:
                 # A victim holding many flows (big push frames) that
                 # never reads, while the survivor churns shared links
-                # so everyone's rates keep moving.
-                for fid in range(150):
-                    victim.flowlet_start(fid, topo.route(fid % 4,
-                                                         4 + fid % 4))
+                # so everyone's rates keep moving.  The victim's flows
+                # go out as one batch: sent frame by frame, a push
+                # could fill its socket (and get it dropped) before
+                # its own setup finished sending.
+                victim.apply_churn(starts=[
+                    (fid, topo.route(fid % 4, 4 + fid % 4), 1.0)
+                    for fid in range(150)])
                 deadline = time.monotonic() + 30.0
                 fid = 1000
                 while (svc.stats["slow_readers_dropped"] == 0
