@@ -25,8 +25,9 @@ __all__ = ["SCALE", "ScaleConfig", "report", "fct_run", "FCT_SCHEMES",
 
 def bench_environment():
     """Machine/interpreter fingerprint stamped into benchmark JSON so a
-    result file (or the committed baseline) records where it came from —
-    including which kernel tier (``REPRO_KERNEL_TIER``) produced it."""
+    result file (or the committed baseline) records where it came from.
+    ``kernel_tier`` names the CSR kernel implementation, so artifacts
+    from before the kernels had one numpy path stay distinguishable."""
     import numpy
 
     try:

@@ -84,9 +84,10 @@ def load_series(paths, mode="quick"):
     Accepts both raw harness payloads (``{"results": ...}``) and the
     committed baseline layout; files of other modes or unreadable
     files are skipped (a trend tool should chart what it can).  Runs
-    recorded under a non-default kernel tier (``environment.
-    kernel_tier``) carry the tier in their label so artifacts from
-    different ``REPRO_KERNEL_TIER`` lanes stay distinguishable.
+    that record a kernel implementation (``environment.kernel_tier``)
+    carry it in their label, so older artifacts taken under the
+    since-removed ``numpy``/``threads`` kernel lanes stay
+    distinguishable.
     """
     series = []
     for path in paths:

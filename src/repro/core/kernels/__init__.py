@@ -1,164 +1,31 @@
-"""Pluggable implementation tiers for the CSR scatter kernels.
+"""The CSR scatter kernels of the allocator hot loop.
 
-The allocator hot loop bottoms out in four gather/scatter kernels over
-the uniform-slot CSR route index (`price_sums`, `link_totals`,
+The allocator bottoms out in four gather/scatter kernels over the
+uniform-slot CSR route index (`price_sums`, `link_totals`,
 `link_totals2`, `max_link_value`) plus the churn-apply bottleneck
-gather.  This package puts those kernels behind a single dispatch
-point with three interchangeable tiers:
-
-``numpy``
-    The always-available fallback: vectorized numpy over the CSR
-    slots, one canonical chunk at a time (see below).
-``threads``
-    Splits the CSR rows across chunk-aligned ranges on a persistent
-    fan-out thread pool.  Gathers (`np.take`) and the per-row column
-    reductions release the GIL and scale with cores; the per-chunk
-    `bincount` scatters serialize on the GIL but overlap with other
-    chunks' gathers.
-``compiled``
-    Optional `numba` `@njit(parallel=...)` kernels behind the same
-    interface — the fully parallel scatter path.  Degrades gracefully
-    (with a warning) to ``threads``/``numpy`` when numba is absent or
-    fails its startup self-check.
+gather (`min_link_value`).  Each is one vectorized numpy pass per
+canonical chunk (see :mod:`._base`).
 
 **Bitwise-equality contract.**  Float addition is not associative, so
-per-thread partial link vectors naively summed would not match a
-single sequential ``bincount`` bit for bit.  Every tier therefore
-implements one *canonical chunked reduction*: rows are cut into fixed
-``BLOCK_ROWS``-aligned chunks (boundaries depend only on ``n``, never
-on the tier or thread count), each chunk produces its partial in
-strict row/hop order, and partials are combined in ascending chunk
-order.  Threads compute chunks concurrently but each partial is
-per-*chunk*, not per-thread, and the fan-in replays the same ascending
-order — so ``numpy == threads == compiled`` bitwise by construction,
-on any machine, at any thread count.  For ``n <= BLOCK_ROWS`` the
-reduction degenerates to the single historical ``bincount``/column
-pass, so small-table results are bit-identical to the pre-tier code.
-
-Tier selection honors ``REPRO_KERNEL_TIER=numpy|threads|compiled|auto``
-(read lazily at first kernel use; ``auto`` prefers ``compiled`` when
-numba imports, else ``threads`` on multi-core hosts, else ``numpy``).
-``REPRO_KERNEL_THREADS`` caps the thread tier's pool.  The active tier
-is surfaced by ``describe()`` in `harness.py --profile` headers and
-BENCH environment metadata.
+the scatter order is fixed once: rows are cut into ``BLOCK_ROWS``-
+aligned chunks whose boundaries depend only on ``n``, each chunk
+produces its partial in strict row/hop order, and partials are
+combined in ascending chunk order.  The result is the same on any
+machine and in any process; for ``n <= BLOCK_ROWS`` the reduction is
+the single historical ``bincount``/column pass.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import warnings
-
-from ._base import chunk_spans
-from ._numpy import NumpyTier
-from ._threads import ThreadsTier
+from ._base import (chunk_spans, link_totals, link_totals2,
+                    max_link_value, min_link_value, price_sums)
 
 __all__ = [
-    "chunk_spans", "select", "active", "describe",
-    "available_tiers", "use", "NumpyTier", "ThreadsTier",
+    "chunk_spans", "describe", "price_sums", "max_link_value",
+    "link_totals", "link_totals2", "min_link_value",
 ]
-
-# The canonical chunk size lives in ``_base.BLOCK_ROWS`` (read
-# dynamically by chunk_spans, so tests can monkeypatch it small).
-
-_TIER_NAMES = ("numpy", "threads", "compiled")
-
-_active = None       # the selected tier instance
-_instances = {}      # name -> tier instance (pools are persistent)
-
-
-def available_tiers():
-    """Mapping of tier name -> importable right now (numpy/threads are
-    always true; compiled requires numba and a passing self-check)."""
-    from . import _compiled
-    return {
-        "numpy": True,
-        "threads": True,
-        "compiled": _compiled.available(),
-    }
-
-
-def _make(name):
-    tier = _instances.get(name)
-    if tier is None:
-        if name == "numpy":
-            tier = NumpyTier()
-        elif name == "threads":
-            tier = ThreadsTier()
-        else:
-            from . import _compiled
-            tier = _compiled.make_tier()  # raises when unavailable
-        _instances[name] = tier
-    return tier
-
-
-def select(name=None):
-    """Select the active kernel tier; returns the tier instance.
-
-    ``name=None`` reads ``REPRO_KERNEL_TIER`` (default ``auto``).
-    Unknown names warn and fall back to ``auto``; ``compiled`` without
-    a working numba warns and degrades to ``threads``/``numpy``.
-    """
-    global _active
-    if name is None:
-        name = os.environ.get("REPRO_KERNEL_TIER", "auto")
-    name = str(name).strip().lower() or "auto"
-    if name not in _TIER_NAMES + ("auto",):
-        warnings.warn(
-            f"unknown REPRO_KERNEL_TIER {name!r}; using 'auto'",
-            RuntimeWarning, stacklevel=2)
-        name = "auto"
-    if name == "auto":
-        from . import _compiled
-        if _compiled.available():
-            candidates = ("compiled", "threads", "numpy")
-        elif (os.cpu_count() or 1) > 1:
-            candidates = ("threads",)
-        else:
-            candidates = ("numpy",)
-    elif name == "compiled":
-        # Explicit request: try it, degrade loudly if broken/absent.
-        candidates = ("compiled",
-                      "threads" if (os.cpu_count() or 1) > 1 else "numpy")
-    else:
-        candidates = (name,)
-    last_error = None
-    for candidate in candidates:
-        try:
-            _active = _make(candidate)
-            break
-        except Exception as exc:  # numba missing / self-check failed
-            last_error = exc
-            if name != "auto":
-                warnings.warn(
-                    f"kernel tier {candidate!r} unavailable "
-                    f"({exc}); falling back", RuntimeWarning,
-                    stacklevel=2)
-    else:  # pragma: no cover - numpy tier construction cannot fail
-        raise RuntimeError(
-            f"no kernel tier available: {last_error}")
-    return _active
-
-
-def active():
-    """The active tier, selecting from the environment on first use."""
-    if _active is None:
-        select()
-    return _active
 
 
 def describe():
-    """Human-readable active-tier tag, e.g. ``threads(4)`` — used by
-    the harness ``--profile`` header and BENCH environment metadata."""
-    return active().describe()
-
-
-@contextlib.contextmanager
-def use(name):
-    """Temporarily select a tier (tests; restores the previous one)."""
-    global _active
-    previous = _active
-    try:
-        yield select(name)
-    finally:
-        _active = previous
+    """Implementation tag recorded in benchmark environment metadata."""
+    return "numpy"

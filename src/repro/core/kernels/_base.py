@@ -1,8 +1,6 @@
-"""Canonical chunk grid and the shared per-chunk numpy primitives.
+"""The canonical chunked reduction behind the CSR kernels.
 
-Every tier is built from these chunk-granular pieces (the compiled
-tier replicates their exact accumulation order in nopython loops), so
-the bitwise contract lives here:
+Every kernel walks one chunk grid, so the bitwise contract lives here:
 
 * chunk boundaries depend only on ``n`` and :data:`BLOCK_ROWS`;
 * within a chunk, accumulation is strict row-major/hop order
@@ -13,11 +11,14 @@ the bitwise contract lives here:
 ``BLOCK_ROWS`` is read dynamically by :func:`chunk_spans` so tests can
 monkeypatch it small to exercise multi-chunk reductions on tiny
 tables.
+
+Inputs follow the FlowTable CSR conventions: ``indices`` is flat with
+a uniform ``width`` slots per row, ``buf`` a caller-owned float64
+scratch with one entry per slot, and ``padded`` carries the pad-link
+entry last.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import numpy.typing as npt
@@ -27,16 +28,15 @@ IntArray = npt.NDArray[np.int64]
 
 #: Canonical reduction chunk size (rows).  Part of the bitwise
 #: contract: results at n > BLOCK_ROWS depend on it (at the 1-ulp
-#: level, well inside every cross-backend 1e-9 tolerance), so all
-#: processes of one run must agree.  REPRO_KERNEL_BLOCK overrides.
-BLOCK_ROWS = int(os.environ.get("REPRO_KERNEL_BLOCK", "16384"))
+#: level, well inside every cross-backend 1e-9 tolerance).
+BLOCK_ROWS = 16384
 
 
 def chunk_spans(n: int) -> list[tuple[int, int]]:
     """The canonical chunk grid for ``n`` rows: ``[(r0, r1), ...]``.
 
-    Depends only on ``n`` and :data:`BLOCK_ROWS` — never on the tier
-    or thread count — so every tier folds partials identically.
+    Depends only on ``n`` and :data:`BLOCK_ROWS`, so every caller folds
+    partials identically.
     """
     block = BLOCK_ROWS
     return [(r0, min(n, r0 + block)) for r0 in range(0, n, block)]
@@ -138,3 +138,51 @@ def reduce_parts(parts: list[FloatArray]) -> FloatArray:
     for part in parts[1:]:
         total += part
     return total
+
+
+# ----------------------------------------------------------------------
+# kernels (rows [0, n) of a width-uniform CSR index)
+# ----------------------------------------------------------------------
+
+def price_sums(padded: FloatArray, indices: IntArray, n: int, width: int,
+               buf: FloatArray) -> FloatArray:
+    """Per-row left-to-right sum of ``padded[indices]`` (fresh array)."""
+    out = np.empty(n)
+    for r0, r1 in chunk_spans(n):
+        price_sums_chunk(padded, indices, buf, out, r0, r1, width)
+    return out
+
+
+def max_link_value(padded: FloatArray, indices: IntArray, n: int,
+                   width: int, buf: FloatArray,
+                   out: FloatArray) -> FloatArray:
+    """Per-row max of ``padded[indices]`` into ``out`` (returned)."""
+    for r0, r1 in chunk_spans(n):
+        max_chunk(padded, indices, buf, out, r0, r1, width)
+    return out
+
+
+def link_totals(values: FloatArray, indices: IntArray, n: int,
+                width: int, minlength: int, buf: FloatArray) -> FloatArray:
+    """Scatter per-row ``values`` onto ``minlength`` link bins."""
+    return reduce_parts([totals_chunk(values, indices, buf, r0, r1,
+                                      width, minlength)
+                         for r0, r1 in chunk_spans(n)])
+
+
+def link_totals2(a: FloatArray, b: FloatArray, indices: IntArray, n: int,
+                 width: int, minlength: int,
+                 buf: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Fused pair of :func:`link_totals` sharing one index pass."""
+    parts = [totals2_chunk(a, b, indices, buf, r0, r1, width, minlength)
+             for r0, r1 in chunk_spans(n)]
+    return (reduce_parts([p[0] for p in parts]),
+            reduce_parts([p[1] for p in parts]))
+
+
+def min_link_value(padded: FloatArray, rows_mat: IntArray,
+                   buf2d: FloatArray, out: FloatArray) -> FloatArray:
+    """Per-row min of ``padded[rows_mat]`` into ``out`` (returned)."""
+    for r0, r1 in chunk_spans(len(rows_mat)):
+        min_rows_chunk(padded, rows_mat, buf2d, out, r0, r1)
+    return out

@@ -217,21 +217,32 @@ class FluidSimulator:
                     metrics.bytes_from_allocator += batched_wire_bytes(payloads)
 
     def _transmit(self, metrics, measuring):
+        """Send one tick at the rates just notified.
+
+        The tick modelled is ``[now, now + tick]``: it starts at the
+        notification, never before it, so a flow that arrived mid-tick
+        is not credited bytes it sent before it had a rate.  A flow
+        that drains completes when its last byte leaves, part-way into
+        the tick.
+        """
         finished = []
         tick = self.tick
         report = (self.allocator.report_usage if self._wants_usage
                   else None)
         for flow_id, record in self._active.items():
             rate_gbps = self._notified_rates.get(flow_id, 0.0)
-            record.remaining_bytes -= rate_gbps * 1e9 * tick / 8.0
+            sent = rate_gbps * 1e9 * tick / 8.0
+            before = record.remaining_bytes
+            record.remaining_bytes -= sent
             if report is not None:
                 report(flow_id, record.size_bytes
                        - max(record.remaining_bytes, 0.0))
             if record.remaining_bytes <= 1e-9:
+                fraction = min(1.0, before / sent) if sent > 0 else 0.0
+                record.completion = self._now + tick * fraction
                 finished.append(flow_id)
         for flow_id in finished:
             record = self._active.pop(flow_id)
-            record.completion = self._now
             self._notified_rates.pop(flow_id, None)
             if measuring:
                 metrics.completed.append(record)

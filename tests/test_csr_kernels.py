@@ -8,9 +8,9 @@ rewrite safe:
 * every kernel matches a straight padded-matrix reference **bitwise**
   (the reference reduces each row left-to-right, the order the CSR
   kernels guarantee; pads contribute +0.0 / the dropped pad bin /
-  ``-inf``, all bitwise no-ops) — and it matches under **every
-  available kernel tier** (``numpy``/``threads``/``compiled``), so
-  the tiers are bitwise-interchangeable by transitivity;
+  ``-inf``, all bitwise no-ops) — including across many canonical
+  chunks, where the link scatters fold per-chunk partials in
+  ascending chunk order;
 * the index is maintained incrementally under arbitrary churn —
   batched adds/removes, swap-remove holes, hop-count mixing, storage
   regrowth, capacity refresh — and can never be observed stale,
@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (FlowTable, FlowtuneAllocator, LinkSet,
                         NedOptimizer)
 from repro.core import kernels
+from repro.core.kernels import _base
 from repro.core.normalization import FNormalizer, f_norm
 from repro.topology import TwoTierClos
 
@@ -45,13 +46,17 @@ def ref_price_sums(table, prices):
 
 
 def ref_link_totals(table, per_flow):
+    """One padded bincount per canonical row chunk, the partials
+    folded in ascending chunk order (a single bincount below
+    ``BLOCK_ROWS`` rows)."""
     n_links = table.links.n_links
-    if table.n_flows == 0:
-        return np.zeros(n_links)
-    weights = np.repeat(np.asarray(per_flow, dtype=np.float64),
-                        table.max_route_len)
-    return np.bincount(table.routes.reshape(-1), weights=weights,
-                       minlength=n_links + 1)[:-1]
+    values = np.asarray(per_flow, dtype=np.float64)
+    total = np.zeros(n_links + 1)
+    for r0, r1 in kernels.chunk_spans(table.n_flows):
+        weights = np.repeat(values[r0:r1], table.max_route_len)
+        total += np.bincount(table.routes[r0:r1].reshape(-1),
+                             weights=weights, minlength=n_links + 1)
+    return total[:-1]
 
 
 def ref_max_link_value(table, per_link):
@@ -64,15 +69,8 @@ def ref_max_link_value(table, per_link):
     return out
 
 
-def available_tier_names():
-    return tuple(name for name, ok
-                 in sorted(kernels.available_tiers().items()) if ok)
-
-
 def assert_kernels_match(table, rng):
-    """All four kernels bitwise-equal their padded references, under
-    every available tier — numpy == threads == compiled bitwise, by
-    transitivity through the shared reference."""
+    """All four kernels bitwise-equal their padded references."""
     prices = rng.random(table.links.n_links)
     per_flow = rng.random(table.n_flows)
     per_link = rng.random(table.links.n_links)
@@ -80,21 +78,80 @@ def assert_kernels_match(table, rng):
     want_totals = ref_link_totals(table, per_flow)
     want_totals_b = ref_link_totals(table, 2.0 * per_flow)
     want_max = ref_max_link_value(table, per_link)
-    for tier in available_tier_names():
-        with kernels.use(tier):
-            np.testing.assert_array_equal(
-                table.price_sums(prices), want_prices, err_msg=tier)
-            np.testing.assert_array_equal(
-                table.link_totals(per_flow), want_totals, err_msg=tier)
-            np.testing.assert_array_equal(
-                table.max_link_value(per_link).copy(), want_max,
-                err_msg=tier)
-            totals_a, totals_b = table.link_totals2(per_flow,
-                                                    2.0 * per_flow)
-            np.testing.assert_array_equal(totals_a, want_totals,
-                                          err_msg=tier)
-            np.testing.assert_array_equal(totals_b, want_totals_b,
-                                          err_msg=tier)
+    np.testing.assert_array_equal(table.price_sums(prices), want_prices)
+    np.testing.assert_array_equal(table.link_totals(per_flow),
+                                  want_totals)
+    np.testing.assert_array_equal(table.max_link_value(per_link).copy(),
+                                  want_max)
+    totals_a, totals_b = table.link_totals2(per_flow, 2.0 * per_flow)
+    np.testing.assert_array_equal(totals_a, want_totals)
+    np.testing.assert_array_equal(totals_b, want_totals_b)
+
+
+# ----------------------------------------------------------------------
+# the canonical chunk grid
+# ----------------------------------------------------------------------
+class TestChunkSpans:
+    def test_covers_every_row_once(self, monkeypatch):
+        monkeypatch.setattr(_base, "BLOCK_ROWS", 7)
+        spans = kernels.chunk_spans(40)
+        assert spans[0][0] == 0 and spans[-1][1] == 40
+        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
+            assert a1 == b0 and a0 < a1
+        assert all(r0 % 7 == 0 for r0, _ in spans)
+
+    def test_small_n_is_one_span(self):
+        assert kernels.chunk_spans(100) == [(0, 100)]
+
+    def test_empty(self):
+        assert kernels.chunk_spans(0) == []
+
+
+# ----------------------------------------------------------------------
+# multi-chunk reductions: BLOCK_ROWS shrunk so a few hundred rows span
+# many chunks, the regime where the partial fold order matters
+# ----------------------------------------------------------------------
+class TestMultiChunkBitwise:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(_base, "BLOCK_ROWS", 7)
+
+    def test_reductions_match_padded_references(self):
+        rng = np.random.default_rng(3)
+        table = FlowTable(LinkSet(rng.random(64) * 10 + 0.1),
+                          max_route_len=4)
+        table.apply_churn(starts=[
+            (i, rng.integers(0, 64, int(rng.integers(1, 4))))
+            for i in range(500)])
+        assert len(kernels.chunk_spans(table.n_flows)) > 1
+        assert_kernels_match(table, rng)
+        table.remove_flows(list(range(0, 500, 3)))
+        table.apply_churn(starts=[(1000 + i, rng.integers(0, 64, 4))
+                                  for i in range(40)])
+        assert_kernels_match(table, rng)
+
+    def test_min_link_value_and_row_copies_match(self):
+        rng = np.random.default_rng(9)
+        n, width, n_links = 200, 4, 32
+        rows = rng.integers(0, n_links, size=(n, width))
+        padded = np.append(rng.random(n_links), np.inf)
+        got = kernels.min_link_value(padded, rows, np.empty((n, width)),
+                                     np.empty(n))
+        np.testing.assert_array_equal(got, padded[rows].min(axis=1))
+        # The CSR index's incremental row patches and tail copies keep
+        # it equal to the storage's leading ``width`` columns.
+        table = FlowTable(LinkSet(np.full(n_links, 10.0)),
+                          max_route_len=6)
+        table.apply_churn(starts=[(i, rng.integers(0, n_links, 4))
+                                  for i in range(n)])
+        table.price_sums(np.zeros(n_links))
+        table.apply_churn(ends=list(range(0, n, 5)),
+                          starts=[(n + i, rng.integers(0, n_links, 3))
+                                  for i in range(60)])
+        table.price_sums(np.zeros(n_links))
+        width = table._csr_width
+        np.testing.assert_array_equal(table._csr_mat[:table.n_flows],
+                                      table.routes[:, :width])
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,18 @@ class TestSimulator:
             assert record.remaining_bytes <= 1e-6
             assert record.fct >= 0
 
+    def test_no_flow_beats_host_line_rate(self):
+        """A flow is only credited bytes after its rate notification,
+        so no FCT can undercut its size at the host line rate."""
+        topology, _, _, simulator = build_fluid_setup(load=0.8, seed=1,
+                                                      **SCALE)
+        metrics = simulator.run(2e-3)
+        assert metrics.completed, "no flowlet completed"
+        line_rate = topology.host_capacity * 1e9
+        for record in metrics.completed:
+            assert record.fct >= record.size_bytes * 8.0 / line_rate, \
+                record
+
     def test_message_accounting(self):
         _, _, _, simulator = build_fluid_setup(load=0.4, seed=0, **SCALE)
         metrics = simulator.run(2e-3)

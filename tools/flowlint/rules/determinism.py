@@ -1,7 +1,7 @@
 """FL-DET — determinism of the kernel hot path.
 
-The bitwise-equality contract (numpy == threads == compiled, any
-thread count, any machine) rests on the canonical chunked reduction in
+The bitwise-equality contract (same bits on any machine, in any
+process) rests on the canonical chunked reduction in
 ``repro/core/kernels/_base.py``: accumulation order must depend only
 on ``n`` and ``BLOCK_ROWS``.  These rules flag the constructs that
 silently break that:
@@ -15,8 +15,8 @@ FL-DET002
     floats is run-to-run unstable.
 FL-DET003
     ``np.bincount`` scatters outside ``repro/core/kernels/`` — every
-    hot-path scatter must go through the tier dispatcher so all tiers
-    replay the same canonical chunk fold.
+    hot-path scatter must go through the ``repro.core.kernels``
+    functions so it replays the canonical chunk fold.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from ._util import call_name
 RULES = {
     "FL-DET001": "order-unstable ufunc reduction (reduceat / ufunc.at)",
     "FL-DET002": "set iteration feeding float accumulation",
-    "FL-DET003": "bincount scatter bypassing the kernel tier dispatcher",
+    "FL-DET003": "bincount scatter bypassing the repro.core.kernels "
+                 "functions",
 }
 
 _SCOPE = ("repro/core",)
@@ -75,21 +76,23 @@ def _check_module(module: Module) -> list[Diagnostic]:
             diags.append(Diagnostic(
                 "FL-DET001", module.rel, node.lineno,
                 "reduceat accumulation order is not the canonical chunk "
-                "fold; use the tier dispatcher's scatter kernels"))
+                "fold; use the repro.core.kernels functions"))
         if isinstance(node, ast.Call):
             name = call_name(node) or ""
             if name.endswith("add.at") or name.endswith("subtract.at"):
                 diags.append(Diagnostic(
                     "FL-DET001", module.rel, node.lineno,
                     f"in-place ufunc scatter `{name}` has unspecified "
-                    "accumulation order; use the tier dispatcher"))
+                    "accumulation order; use the repro.core.kernels "
+                    "functions"))
             # FL-DET003 — bincount outside the kernels package.
             if not in_kernels and (name == "bincount"
                                    or name.endswith(".bincount")):
                 diags.append(Diagnostic(
                     "FL-DET003", module.rel, node.lineno,
                     "bincount scatter outside repro/core/kernels/ "
-                    "bypasses the tier dispatcher (bitwise contract)"))
+                    "bypasses the repro.core.kernels functions (bitwise "
+                    "contract)"))
             # FL-DET002 (sum form) — sum() over a set expression.
             if name == "sum" and node.args and _is_set_expr(node.args[0]):
                 diags.append(Diagnostic(
